@@ -23,7 +23,9 @@
 //! `--overlap off` runs and prices the blocking ablation instead.
 //! `--report-out PATH` writes the largest point's (p = 3072) schema-v2
 //! `RunReport`, the reference CI's `sim-smoke` job gates against.
-//! `--ranks P` simulates a single point instead of the sweep.
+//! `--ranks P` simulates a single point instead of the sweep. After the
+//! table the binary prints its peak resident set (`VmHWM`), which CI
+//! bounds at p = 3072.
 //!
 //! `--collectives flat|hier` selects the collective algorithms the executor
 //! (and the model) use: `hier` routes allgather/reduce-scatter through
@@ -186,6 +188,12 @@ fn main() {
             std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
             println!("run report -> {path}");
         }
+    }
+    // CI gates this line: materialised payloads or p² storage at p = 3072
+    // push it past its bound.
+    match bench::peak_rss_mb() {
+        Some(mb) => println!("\npeak RSS (VmHWM): {mb:.0} MB"),
+        None => println!("\npeak RSS (VmHWM): unavailable"),
     }
     println!("\nSeconds are virtual (machine-model) time; 'wall' is what the");
     println!("simulation itself cost on this host. The executed sim and the");

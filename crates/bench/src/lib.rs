@@ -140,6 +140,21 @@ pub fn csv_writer(name: &str) -> Option<std::io::BufWriter<std::fs::File>> {
     Some(std::io::BufWriter::new(f))
 }
 
+/// This process's peak resident set so far (`VmHWM` from
+/// `/proc/self/status`), MiB; `None` where the kernel does not report it.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse::<f64>()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 pub mod timing;
 
 /// Pretty-prints one row of dotted columns.

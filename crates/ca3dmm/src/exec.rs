@@ -2,6 +2,7 @@
 
 use crate::cannon::cannon_multi_shift;
 use crate::grid_ctx::GridContext;
+use crate::phantom::Phantom;
 use crate::reduce::reduce_partial_c;
 use crate::replicate::{replicate_block, slice_widths};
 use dense::gemm::GemmOp;
@@ -464,7 +465,23 @@ impl Ca3dmm {
     /// measures, does not depend on the matrix values. Numerical output is
     /// therefore meaningless here; use `opts.execute_compute = false` at
     /// scale to skip the arithmetic entirely (the flops are still charged).
+    /// With compute skipped the blocks are [`Phantom`]: the same code moves
+    /// the same messages, counted at 8 bytes per element as for `f64`, but
+    /// no matrix memory is allocated, copied or summed. With compute on
+    /// they are real `f64` blocks.
     pub fn simulate_native(
+        &self,
+        machine: &netmodel::Machine,
+        opts: msgpass::SimOptions,
+    ) -> msgpass::RunReport {
+        if opts.execute_compute {
+            self.simulate_native_as::<f64>(machine, opts)
+        } else {
+            self.simulate_native_as::<Phantom>(machine, opts)
+        }
+    }
+
+    fn simulate_native_as<T: Scalar>(
         &self,
         machine: &netmodel::Machine,
         opts: msgpass::SimOptions,
@@ -478,8 +495,8 @@ impl Ca3dmm {
                 let ra = gc.a_init(&coord);
                 let rb = gc.b_init(&coord);
                 (
-                    Some(Mat::<f64>::zeros(ra.rows, ra.cols)),
-                    Some(Mat::<f64>::zeros(rb.rows, rb.cols)),
+                    Some(Mat::<T>::zeros(ra.rows, ra.cols)),
+                    Some(Mat::<T>::zeros(rb.rows, rb.cols)),
                 )
             } else {
                 (None, None)

@@ -43,6 +43,7 @@ pub mod exec;
 pub mod grid_ctx;
 pub mod model;
 pub mod msg;
+mod phantom;
 pub mod plan;
 pub mod reduce;
 pub mod replicate;

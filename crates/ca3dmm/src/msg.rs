@@ -1,7 +1,7 @@
 //! Message helpers: matrices on the wire.
 
 use dense::{Mat, Scalar};
-use msgpass::Payload;
+use msgpass::{wire_bytes, Payload};
 use std::sync::Arc;
 
 /// A matrix block as a message payload. Dimensions travel with the data
@@ -23,7 +23,7 @@ pub struct BlockMsg<T: Scalar> {
 
 impl<T: Scalar> Payload for BlockMsg<T> {
     fn nbytes(&self) -> usize {
-        std::mem::size_of_val(self.data.as_slice())
+        wire_bytes::<T>(self.data.len())
     }
 }
 
@@ -56,7 +56,7 @@ pub struct SharedBlock<T: Scalar>(pub Arc<Mat<T>>);
 
 impl<T: Scalar> Payload for SharedBlock<T> {
     fn nbytes(&self) -> usize {
-        self.0.rows() * self.0.cols() * std::mem::size_of::<T>()
+        wire_bytes::<T>(self.0.rows() * self.0.cols())
     }
 }
 

@@ -62,7 +62,7 @@ pub use mat::Mat;
 pub use part::{split_even, Rect};
 pub use pool::{gemm_threads, set_gemm_threads};
 pub use prof::{profiling_enabled, set_gemm_profiling, KernelProfile, PoolTelemetry, ProfSpan};
-pub use scalar::Scalar;
+pub use scalar::{Elem, Scalar};
 pub use tune::{
     numa_nodes, numa_packing, probed_peak_gflops, probed_peak_gflops_for, set_gemm_blocking,
     Blocking,

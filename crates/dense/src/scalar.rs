@@ -4,6 +4,37 @@ use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
+/// A plain-data value that can travel in a message: what the
+/// message-passing runtime's `Vec<T>` payloads and collectives are generic
+/// over. [`Elem::WIRE_BYTES`] is what one element counts for in traffic
+/// accounting and virtual-time pricing. It defaults to `size_of::<Self>()`;
+/// a zero-sized element that stands in for real data declares the size of
+/// the data instead.
+pub trait Elem: Copy + Send + 'static {
+    /// Bytes one element occupies on the wire.
+    const WIRE_BYTES: usize = std::mem::size_of::<Self>();
+}
+
+macro_rules! plain_elem {
+    ($($t:ty),*) => {$( impl Elem for $t {} )*};
+}
+plain_elem!(
+    u8,
+    u16,
+    u32,
+    u64,
+    usize,
+    i8,
+    i16,
+    i32,
+    i64,
+    isize,
+    f32,
+    f64,
+    bool,
+    ()
+);
+
 /// A real floating-point matrix element.
 ///
 /// The paper's artifact supports `float` and `double`; this trait plays the
@@ -11,8 +42,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// runtime, redistribution, and the distributed algorithms — is generic over
 /// `Scalar`, and the test suites run both instantiations.
 pub trait Scalar:
-    Copy
-    + Send
+    Elem
     + Sync
     + Debug
     + Display
@@ -27,7 +57,6 @@ pub trait Scalar:
     + SubAssign
     + MulAssign
     + Sum
-    + 'static
 {
     /// The additive identity.
     const ZERO: Self;

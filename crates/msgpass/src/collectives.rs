@@ -13,7 +13,7 @@
 //! Every collective must be called by all members of the communicator in the
 //! same order, as in MPI.
 
-use crate::comm::{Comm, Payload, ReduceElem};
+use crate::comm::{wire_bytes, Comm, Elem, Payload, ReduceElem};
 use crate::world::RankCtx;
 
 /// Dissemination barrier: ⌈log₂ P⌉ rounds.
@@ -101,16 +101,14 @@ pub fn bcast<P: Payload + Clone>(comm: &Comm, ctx: &RankCtx, root: usize, mine: 
 ///
 /// The root passes `Some(data)`; everyone returns the full buffer. All
 /// ranks must agree on `len` (the total element count).
-pub fn bcast_large<T: Copy + Send + 'static>(
+pub fn bcast_large<T: Elem>(
     comm: &Comm,
     ctx: &RankCtx,
     root: usize,
     mine: Option<Vec<T>>,
     len: usize,
 ) -> Vec<T> {
-    let _span = ctx.collective_scope("vdg_bcast_large", || {
-        (len * std::mem::size_of::<T>()) as u64
-    });
+    let _span = ctx.collective_scope("vdg_bcast_large", || wire_bytes::<T>(len) as u64);
     let g = comm.size();
     let me = comm.rank();
     assert_eq!(
@@ -169,7 +167,7 @@ pub fn bcast_large<T: Copy + Send + 'static>(
 ///
 /// # Panics
 /// If contribution lengths differ across ranks (detected at receipt).
-pub fn allgather<T: Copy + Send + 'static>(comm: &Comm, ctx: &RankCtx, mine: Vec<T>) -> Vec<T> {
+pub fn allgather<T: Elem>(comm: &Comm, ctx: &RankCtx, mine: Vec<T>) -> Vec<T> {
     let n = mine.len();
     let counts = vec![n; comm.size()];
     allgatherv(comm, ctx, mine, &counts)
@@ -178,14 +176,9 @@ pub fn allgather<T: Copy + Send + 'static>(comm: &Comm, ctx: &RankCtx, mine: Vec
 /// Ring allgather with per-rank contribution sizes `counts` (known to all
 /// members, as in `MPI_Allgatherv`). Returns the concatenation in rank
 /// order.
-pub fn allgatherv<T: Copy + Send + 'static>(
-    comm: &Comm,
-    ctx: &RankCtx,
-    mine: Vec<T>,
-    counts: &[usize],
-) -> Vec<T> {
+pub fn allgatherv<T: Elem>(comm: &Comm, ctx: &RankCtx, mine: Vec<T>, counts: &[usize]) -> Vec<T> {
     let _span = ctx.collective_scope("ring_allgatherv", || {
-        (counts.iter().sum::<usize>() * std::mem::size_of::<T>()) as u64
+        wire_bytes::<T>(counts.iter().sum()) as u64
     });
     let g = comm.size();
     let me = comm.rank();
@@ -318,11 +311,7 @@ pub fn allreduce<T: ReduceElem>(comm: &Comm, ctx: &RankCtx, data: Vec<T>) -> Vec
 /// goes to communicator rank `j`; returns `recvs` where `recvs[i]` came from
 /// rank `i`. Empty vectors are exchanged too (zero-byte messages), exactly
 /// like `MPI_Alltoallv` with zero counts.
-pub fn alltoallv<T: Copy + Send + 'static>(
-    comm: &Comm,
-    ctx: &RankCtx,
-    mut sends: Vec<Vec<T>>,
-) -> Vec<Vec<T>> {
+pub fn alltoallv<T: Elem>(comm: &Comm, ctx: &RankCtx, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
     let _span = ctx.collective_scope("pairwise_alltoallv", || {
         sends.iter().map(|v| v.nbytes() as u64).sum()
     });
@@ -343,7 +332,7 @@ pub fn alltoallv<T: Copy + Send + 'static>(
 
 /// Gather with per-rank sizes: every member sends `mine` to `root`, which
 /// returns `Some(vec of contributions in rank order)`; others get `None`.
-pub fn gatherv<T: Copy + Send + 'static>(
+pub fn gatherv<T: Elem>(
     comm: &Comm,
     ctx: &RankCtx,
     mine: Vec<T>,
@@ -467,11 +456,7 @@ fn offsets_of(counts: &[usize]) -> Vec<usize> {
 
 /// Two-level allgather with equal contribution sizes: hierarchical when the
 /// topology engages ([`node_map`]), flat ring otherwise.
-pub fn allgather_hier<T: Copy + Send + 'static>(
-    comm: &Comm,
-    ctx: &RankCtx,
-    mine: Vec<T>,
-) -> Vec<T> {
+pub fn allgather_hier<T: Elem>(comm: &Comm, ctx: &RankCtx, mine: Vec<T>) -> Vec<T> {
     let counts = vec![mine.len(); comm.size()];
     allgatherv_hier(comm, ctx, mine, &counts)
 }
@@ -481,7 +466,7 @@ pub fn allgather_hier<T: Copy + Send + 'static>(
 /// step instead of one per member), and each leader hands the assembled
 /// buffer back to its members. Falls back to the flat ring when [`node_map`]
 /// declines.
-pub fn allgatherv_hier<T: Copy + Send + 'static>(
+pub fn allgatherv_hier<T: Elem>(
     comm: &Comm,
     ctx: &RankCtx,
     mine: Vec<T>,
@@ -491,7 +476,7 @@ pub fn allgatherv_hier<T: Copy + Send + 'static>(
         return allgatherv(comm, ctx, mine, counts);
     };
     let _span = ctx.collective_scope("hier_allgatherv", || {
-        (counts.iter().sum::<usize>() * std::mem::size_of::<T>()) as u64
+        wire_bytes::<T>(counts.iter().sum()) as u64
     });
     let g = comm.size();
     let me = comm.rank();
@@ -725,7 +710,7 @@ pub fn bcast_hier<P: Payload + Clone>(
 /// Two-level large-message broadcast: same leader structure as
 /// [`bcast_hier`] (the vector crosses the network once per node). Falls back
 /// to the van de Geijn scatter+allgather when [`node_map`] declines.
-pub fn bcast_large_hier<T: Copy + Send + 'static>(
+pub fn bcast_large_hier<T: Elem>(
     comm: &Comm,
     ctx: &RankCtx,
     root: usize,
@@ -796,7 +781,7 @@ impl Collectives {
 }
 
 /// [`allgatherv`] or [`allgatherv_hier`], by mode.
-pub fn allgatherv_mode<T: Copy + Send + 'static>(
+pub fn allgatherv_mode<T: Elem>(
     mode: Collectives,
     comm: &Comm,
     ctx: &RankCtx,
@@ -820,21 +805,6 @@ pub fn reduce_scatter_mode<T: ReduceElem>(
     match mode {
         Collectives::Flat => reduce_scatter(comm, ctx, data, counts),
         Collectives::Hier => reduce_scatter_hier(comm, ctx, data, counts),
-    }
-}
-
-/// [`bcast_large`] or [`bcast_large_hier`], by mode.
-pub fn bcast_large_mode<T: Copy + Send + 'static>(
-    mode: Collectives,
-    comm: &Comm,
-    ctx: &RankCtx,
-    root: usize,
-    mine: Option<Vec<T>>,
-    len: usize,
-) -> Vec<T> {
-    match mode {
-        Collectives::Flat => bcast_large(comm, ctx, root, mine, len),
-        Collectives::Hier => bcast_large_hier(comm, ctx, root, mine, len),
     }
 }
 

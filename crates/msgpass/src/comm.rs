@@ -2,6 +2,7 @@
 
 use crate::trace::SpanKind;
 use crate::world::RankCtx;
+pub use dense::Elem;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -13,16 +14,25 @@ pub trait Payload: Send + 'static {
     fn nbytes(&self) -> usize;
 }
 
-impl<T: Copy + Send + 'static> Payload for Vec<T> {
+/// Wire size of `len` elements of `T`: the one place element counts become
+/// bytes for traffic accounting, collective spans, and virtual-time
+/// pricing. It reads [`Elem::WIRE_BYTES`], never `size_of::<T>()`, so an
+/// element type that only stands in for data still costs what the data
+/// would.
+pub fn wire_bytes<T: Elem>(len: usize) -> usize {
+    len * T::WIRE_BYTES
+}
+
+impl<T: Elem> Payload for Vec<T> {
     fn nbytes(&self) -> usize {
-        std::mem::size_of_val(self.as_slice())
+        wire_bytes::<T>(self.len())
     }
 }
 
 macro_rules! scalar_payload {
     ($($t:ty),*) => {$(
         impl Payload for $t {
-            fn nbytes(&self) -> usize { std::mem::size_of::<$t>() }
+            fn nbytes(&self) -> usize { wire_bytes::<$t>(1) }
         }
     )*};
 }
@@ -57,8 +67,8 @@ impl<A: Payload, B: Payload, C: Payload> Payload for (A, B, C) {
 
 /// Element type collectives can reduce: needs `+=` and a zero. Implemented
 /// by `f32`/`f64` (and integers, used in tests).
-pub trait ReduceElem: Copy + Send + Default + std::ops::AddAssign + 'static {}
-impl<T: Copy + Send + Default + std::ops::AddAssign + 'static> ReduceElem for T {}
+pub trait ReduceElem: Elem + Default + std::ops::AddAssign {}
+impl<T: Elem + Default + std::ops::AddAssign> ReduceElem for T {}
 
 /// An in-flight message.
 pub(crate) struct Envelope {
@@ -131,7 +141,7 @@ impl Comm {
     pub fn world(ctx: &RankCtx) -> Comm {
         Comm {
             ctx_id: mix(0x5EED_0001),
-            ranks: Arc::new((0..ctx.world_size()).collect()),
+            ranks: Arc::clone(&ctx.fabric.world_ranks),
             my_idx: ctx.world_rank(),
             coll_seq: std::cell::Cell::new(0),
         }

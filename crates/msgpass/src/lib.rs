@@ -58,7 +58,7 @@ pub mod trace;
 pub mod traffic;
 pub mod world;
 
-pub use comm::{Comm, Payload, RecvReq, ReduceElem, SendReq};
+pub use comm::{wire_bytes, Comm, Elem, Payload, RecvReq, ReduceElem, SendReq};
 pub use metrics::{CellCounts, CommMatrix, SizeHistogram};
 pub use persist::{JobPanic, PersistentWorld};
 pub use report::{GatePolicy, ReportDiff, RunReportDoc};

@@ -179,19 +179,30 @@ impl CellCounts {
     }
 }
 
+/// One stored matrix cell: `(row, col, counts)`. Send-side rows are
+/// senders and columns receivers; recv-side rows are receivers and columns
+/// senders.
+pub type Cell = (usize, usize, CellCounts);
+
 /// The rank×rank communication matrix of one run, recorded on both sides:
 /// `send[src][dst]` is what rank `src` pushed toward `dst` (counted at send
 /// time by the sender), `recv[dst][src]` is what rank `dst` actually
 /// matched from `src` (counted at `recv` time by the receiver). The two
 /// agree for every message that was both sent and consumed; a message still
 /// in a mailbox when its rank exits appears on the send side only.
+///
+/// Storage is sparse: each side keeps only the cells that carried a message
+/// (any bytes *or* any messages, so zero-byte barrier cells are kept), in
+/// row-major order — the schema-v2 JSON wire form, held natively. A run
+/// costs memory in the cells it touched, not `p²`: at p = 3072 a CA3DMM
+/// rank talks to a few dozen peers.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CommMatrix {
     p: usize,
-    /// Row-major `p×p`: `send[src * p + dst]`.
-    send: Vec<CellCounts>,
-    /// Row-major `p×p`: `recv[dst * p + src]`.
-    recv: Vec<CellCounts>,
+    /// Send-side cells `(src, dst, counts)`, sorted, no empty cells.
+    send: Vec<Cell>,
+    /// Recv-side cells `(dst, src, counts)`, sorted, no empty cells.
+    recv: Vec<Cell>,
 }
 
 impl CommMatrix {
@@ -199,8 +210,7 @@ impl CommMatrix {
     pub fn new(p: usize) -> CommMatrix {
         CommMatrix {
             p,
-            send: vec![CellCounts::default(); p * p],
-            recv: vec![CellCounts::default(); p * p],
+            ..CommMatrix::default()
         }
     }
 
@@ -209,8 +219,8 @@ impl CommMatrix {
         self.p
     }
 
-    /// Rebuilds a matrix from four `p×p` grids (the JSON wire form):
-    /// send bytes/msgs indexed `[src][dst]`, recv bytes/msgs indexed
+    /// Rebuilds a matrix from four `p×p` grids (the schema-v1 JSON wire
+    /// form): send bytes/msgs indexed `[src][dst]`, recv bytes/msgs indexed
     /// `[dst][src]`. All four grids must be square and the same size
     /// (callers validate shapes when parsing).
     pub fn from_grids(
@@ -224,120 +234,83 @@ impl CommMatrix {
             [send_msgs.len(), recv_bytes.len(), recv_msgs.len()] == [p, p, p],
             "matrix grids disagree on rank count"
         );
-        let mut m = CommMatrix::new(p);
-        for i in 0..p {
-            for j in 0..p {
-                m.send[i * p + j] = CellCounts {
-                    bytes: send_bytes[i][j],
-                    msgs: send_msgs[i][j],
-                };
-                m.recv[i * p + j] = CellCounts {
-                    bytes: recv_bytes[i][j],
-                    msgs: recv_msgs[i][j],
-                };
-            }
-        }
-        m
+        let cells = |bytes: &[Vec<u64>], msgs: &[Vec<u64>]| -> Vec<Cell> {
+            (0..p)
+                .flat_map(|i| (0..p).map(move |j| (i, j)))
+                .map(|(i, j)| {
+                    let c = CellCounts {
+                        bytes: bytes[i][j],
+                        msgs: msgs[i][j],
+                    };
+                    (i, j, c)
+                })
+                .collect()
+        };
+        CommMatrix::from_sparse(
+            p,
+            &cells(send_bytes, send_msgs),
+            &cells(recv_bytes, recv_msgs),
+        )
     }
 
     /// Rebuilds a matrix from sparse cell lists (the schema-v2 JSON wire
     /// form): send entries are `(src, dst, counts)`, recv entries are
-    /// `(dst, src, counts)`. Unlisted cells are zero. Callers validate that
-    /// indices are in range when parsing.
-    pub fn from_sparse(
-        p: usize,
-        send: &[(usize, usize, CellCounts)],
-        recv: &[(usize, usize, CellCounts)],
-    ) -> CommMatrix {
-        let mut m = CommMatrix::new(p);
-        for &(src, dst, c) in send {
-            m.send[src * p + dst].add(c);
+    /// `(dst, src, counts)`. Unlisted cells are zero; a cell listed twice
+    /// counts the sum; listed cells with neither bytes nor messages are
+    /// dropped. Callers validate that indices are in range when parsing.
+    pub fn from_sparse(p: usize, send: &[Cell], recv: &[Cell]) -> CommMatrix {
+        CommMatrix {
+            p,
+            send: canonical(send),
+            recv: canonical(recv),
         }
-        for &(dst, src, c) in recv {
-            m.recv[dst * p + src].add(c);
-        }
-        m
     }
 
-    /// Nonzero send-side cells in row-major `(src, dst, counts)` order.
-    /// Cells that carried only zero-byte messages (barriers) still count —
-    /// "nonzero" means any bytes *or* any messages. This is the sparse wire
-    /// form: at p = 3072 the dense `p²` grids are ~75 MB of JSON while the
-    /// populated cells are a few thousand rows.
-    pub fn nonzero_send(&self) -> Vec<(usize, usize, CellCounts)> {
-        self.nonzero(&self.send)
+    /// Send-side cells that carried anything, in row-major
+    /// `(src, dst, counts)` order. Cells that carried only zero-byte
+    /// messages (barriers) still count — "nonzero" means any bytes *or* any
+    /// messages.
+    pub fn nonzero_send(&self) -> &[Cell] {
+        &self.send
     }
 
-    /// Nonzero recv-side cells in row-major `(dst, src, counts)` order.
-    pub fn nonzero_recv(&self) -> Vec<(usize, usize, CellCounts)> {
-        self.nonzero(&self.recv)
-    }
-
-    fn nonzero(&self, cells: &[CellCounts]) -> Vec<(usize, usize, CellCounts)> {
-        cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.bytes > 0 || c.msgs > 0)
-            .map(|(i, &c)| (i / self.p, i % self.p, c))
-            .collect()
+    /// Recv-side cells that carried anything, in row-major
+    /// `(dst, src, counts)` order.
+    pub fn nonzero_recv(&self) -> &[Cell] {
+        &self.recv
     }
 
     /// Send-side cell: what `src` sent toward `dst`.
     pub fn sent(&self, src: usize, dst: usize) -> CellCounts {
-        self.send[src * self.p + dst]
+        lookup(&self.send, src, dst)
     }
 
     /// Recv-side cell: what `dst` matched from `src`.
     pub fn received(&self, dst: usize, src: usize) -> CellCounts {
-        self.recv[dst * self.p + src]
-    }
-
-    pub(crate) fn set_send_row(&mut self, src: usize, row: &[CellCounts]) {
-        assert_eq!(row.len(), self.p);
-        self.send[src * self.p..(src + 1) * self.p].copy_from_slice(row);
-    }
-
-    pub(crate) fn set_recv_row(&mut self, dst: usize, row: &[CellCounts]) {
-        assert_eq!(row.len(), self.p);
-        self.recv[dst * self.p..(dst + 1) * self.p].copy_from_slice(row);
+        lookup(&self.recv, dst, src)
     }
 
     /// Everything rank `src` sent, over all destinations.
     pub fn send_row_total(&self, src: usize) -> CellCounts {
-        let mut t = CellCounts::default();
-        for dst in 0..self.p {
-            t.add(self.sent(src, dst));
-        }
-        t
+        total(row(&self.send, src))
     }
 
     /// Everything rank `dst` received, over all sources.
     pub fn recv_row_total(&self, dst: usize) -> CellCounts {
-        let mut t = CellCounts::default();
-        for src in 0..self.p {
-            t.add(self.received(dst, src));
-        }
-        t
+        total(row(&self.recv, dst))
     }
 
     /// Send-side column total: bytes/msgs *destined for* `dst` as the
     /// senders counted them.
     pub fn send_col_total(&self, dst: usize) -> CellCounts {
-        let mut t = CellCounts::default();
-        for src in 0..self.p {
-            t.add(self.sent(src, dst));
-        }
-        t
+        total(self.send.iter().filter(|&&(_, j, _)| j == dst))
     }
 
     /// Renders a text heatmap of send-side bytes: rows are senders, columns
     /// receivers, shaded by bytes relative to the busiest cell.
     pub fn render_heatmap(&self) -> String {
         const SHADES: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
-        let max = (0..self.p * self.p)
-            .map(|i| self.send[i].bytes)
-            .max()
-            .unwrap_or(0);
+        let max = self.send.iter().map(|c| c.2.bytes).max().unwrap_or(0);
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -351,8 +324,13 @@ impl CommMatrix {
         out.push('\n');
         for src in 0..self.p {
             let _ = write!(out, "  {src:>4} ");
+            let cells = row(&self.send, src);
+            let mut next = cells.iter().peekable();
             for dst in 0..self.p {
-                let b = self.sent(src, dst).bytes;
+                let b = match next.next_if(|c| c.1 == dst) {
+                    Some(c) => c.2.bytes,
+                    None => 0,
+                };
                 let shade = if max == 0 || b == 0 {
                     SHADES[0]
                 } else {
@@ -363,46 +341,163 @@ impl CommMatrix {
                 };
                 let _ = write!(out, "  {shade}");
             }
-            let row = self.send_row_total(src);
-            let _ = writeln!(out, "   | {}", fmt_bytes(row.bytes));
+            let _ = writeln!(out, "   | {}", fmt_bytes(total(cells).bytes));
         }
         out
     }
+}
+
+/// Sorts cells row-major, sums duplicates and drops cells that carried
+/// nothing — the one form [`CommMatrix`] stores, so derived equality is
+/// cell-by-cell equality.
+fn canonical(cells: &[Cell]) -> Vec<Cell> {
+    let mut sorted = cells.to_vec();
+    sorted.sort_by_key(|&(i, j, _)| (i, j));
+    let mut out: Vec<Cell> = Vec::with_capacity(sorted.len());
+    for (i, j, c) in sorted {
+        match out.last_mut() {
+            Some(last) if (last.0, last.1) == (i, j) => last.2.add(c),
+            _ => out.push((i, j, c)),
+        }
+    }
+    out.retain(|c| c.2.bytes > 0 || c.2.msgs > 0);
+    out
+}
+
+/// The cells of row `i`.
+fn row(cells: &[Cell], i: usize) -> &[Cell] {
+    let lo = cells.partition_point(|c| c.0 < i);
+    let hi = lo + cells[lo..].partition_point(|c| c.0 == i);
+    &cells[lo..hi]
+}
+
+/// Cell `(i, j)`, zero when it was never touched.
+fn lookup(cells: &[Cell], i: usize, j: usize) -> CellCounts {
+    cells
+        .binary_search_by_key(&(i, j), |c| (c.0, c.1))
+        .map_or_else(|_| CellCounts::default(), |k| cells[k].2)
+}
+
+fn total<'a>(cells: impl IntoIterator<Item = &'a Cell>) -> CellCounts {
+    let mut t = CellCounts::default();
+    for c in cells {
+        t.add(c.2);
+    }
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn c(bytes: u64, msgs: u64) -> CellCounts {
+        CellCounts { bytes, msgs }
+    }
+
+    /// A 5-rank matrix with a zero-byte barrier cell, a self-send, an
+    /// idle rank (3 receives nothing) and cells listed out of order.
+    fn sample() -> CommMatrix {
+        let send = [
+            (2, 1, c(5000, 1)),
+            (0, 1, c(64, 2)),
+            (0, 4, c(0, 1)),
+            (1, 2, c(1000, 1)),
+            (3, 0, c(300, 3)),
+            (4, 4, c(8, 1)),
+        ];
+        let recv = [
+            (1, 0, c(64, 2)),
+            (4, 0, c(0, 1)),
+            (2, 1, c(1000, 1)),
+            (1, 2, c(5000, 1)),
+            (0, 3, c(300, 3)),
+        ];
+        CommMatrix::from_sparse(5, &send, &recv)
+    }
+
+    /// The matrix as four dense `p×p` grids — the schema-v1 wire form.
+    fn grids(m: &CommMatrix) -> [Vec<Vec<u64>>; 4] {
+        let p = m.ranks();
+        let grid = |f: &dyn Fn(usize, usize) -> u64| -> Vec<Vec<u64>> {
+            (0..p).map(|i| (0..p).map(|j| f(i, j)).collect()).collect()
+        };
+        [
+            grid(&|i, j| m.sent(i, j).bytes),
+            grid(&|i, j| m.sent(i, j).msgs),
+            grid(&|i, j| m.received(i, j).bytes),
+            grid(&|i, j| m.received(i, j).msgs),
+        ]
+    }
+
     #[test]
     fn sparse_cells_round_trip() {
-        let mut m = CommMatrix::new(4);
-        m.set_send_row(
-            1,
-            &[
-                CellCounts::default(),
-                CellCounts::default(),
-                CellCounts { bytes: 64, msgs: 2 },
-                CellCounts { bytes: 0, msgs: 1 }, // zero-byte barrier msg
-            ],
-        );
-        m.set_recv_row(
-            2,
-            &[
-                CellCounts::default(),
-                CellCounts { bytes: 64, msgs: 2 },
-                CellCounts::default(),
-                CellCounts::default(),
-            ],
-        );
+        let m = sample();
         let send = m.nonzero_send();
-        let recv = m.nonzero_recv();
-        assert_eq!(send.len(), 2, "{send:?}");
-        assert_eq!(send[0], (1, 2, CellCounts { bytes: 64, msgs: 2 }));
-        assert_eq!(send[1], (1, 3, CellCounts { bytes: 0, msgs: 1 }));
-        assert_eq!(recv, vec![(2, 1, CellCounts { bytes: 64, msgs: 2 })]);
-        let back = CommMatrix::from_sparse(4, &send, &recv);
+        // Row-major, the barrier cell kept.
+        assert_eq!(
+            send,
+            [
+                (0, 1, c(64, 2)),
+                (0, 4, c(0, 1)),
+                (1, 2, c(1000, 1)),
+                (2, 1, c(5000, 1)),
+                (3, 0, c(300, 3)),
+                (4, 4, c(8, 1)),
+            ]
+        );
+        assert_eq!(m.nonzero_recv()[0], (0, 3, c(300, 3)));
+        let back = CommMatrix::from_sparse(5, m.nonzero_send(), m.nonzero_recv());
         assert_eq!(back, m);
+        assert_eq!(back.nonzero_send(), send);
+    }
+
+    #[test]
+    fn dense_grids_round_trip() {
+        let m = sample();
+        let [sb, sm, rb, rm] = grids(&m);
+        let back = CommMatrix::from_grids(&sb, &sm, &rb, &rm);
+        assert_eq!(back, m);
+        assert_eq!(back.nonzero_send(), m.nonzero_send());
+        assert_eq!(back.nonzero_recv(), m.nonzero_recv());
+    }
+
+    #[test]
+    fn empty_cells_are_never_stored() {
+        // Dense grids are mostly zeros; none of them become cells.
+        let m = sample();
+        let [sb, sm, rb, rm] = grids(&m);
+        let back = CommMatrix::from_grids(&sb, &sm, &rb, &rm);
+        assert_eq!(back.nonzero_send().len(), 6);
+        assert_eq!(back.nonzero_recv().len(), 5);
+        // Explicitly listed empty cells are dropped, duplicates summed.
+        let m = CommMatrix::from_sparse(
+            3,
+            &[(0, 1, c(0, 0)), (2, 0, c(8, 1)), (2, 0, c(8, 1))],
+            &[(1, 1, c(0, 0))],
+        );
+        assert_eq!(m.nonzero_send(), [(2, 0, c(16, 2))]);
+        assert!(m.nonzero_recv().is_empty());
+        assert_eq!(m, CommMatrix::from_sparse(3, &[(2, 0, c(16, 2))], &[]));
+        for cell in sample()
+            .nonzero_send()
+            .iter()
+            .chain(sample().nonzero_recv())
+        {
+            assert!(cell.2.bytes > 0 || cell.2.msgs > 0, "{cell:?}");
+        }
+    }
+
+    #[test]
+    fn column_totals_and_heatmap_match_the_dense_matrix() {
+        // Expected values: what the dense p×p implementation printed for
+        // this matrix.
+        let m = sample();
+        let cols: Vec<CellCounts> = (0..5).map(|d| m.send_col_total(d)).collect();
+        assert_eq!(cols, [c(300, 3), c(5064, 3), c(1000, 1), c(0, 0), c(8, 2)]);
+        assert_eq!(
+            m.render_heatmap(),
+            "  send-side bytes, row = src rank, col = dst rank (max cell 4.9 KiB):\n         0  1  2  3  4\n     0      .            | 64 B\n     1         :         | 1000 B\n     2      @            | 4.9 KiB\n     3   .               | 300 B\n     4               .   | 8 B\n"
+        );
     }
 
     #[test]
@@ -456,29 +551,22 @@ mod tests {
 
     #[test]
     fn matrix_totals() {
-        let mut m = CommMatrix::new(3);
-        m.set_send_row(
-            0,
-            &[
-                CellCounts::default(),
-                CellCounts { bytes: 10, msgs: 1 },
-                CellCounts { bytes: 20, msgs: 2 },
-            ],
+        let m = CommMatrix::from_sparse(
+            3,
+            &[(0, 1, c(10, 1)), (0, 2, c(20, 2))],
+            &[(1, 0, c(10, 1))],
         );
-        m.set_recv_row(
-            1,
-            &[
-                CellCounts { bytes: 10, msgs: 1 },
-                CellCounts::default(),
-                CellCounts::default(),
-            ],
-        );
-        assert_eq!(m.send_row_total(0), CellCounts { bytes: 30, msgs: 3 });
-        assert_eq!(m.send_col_total(1), CellCounts { bytes: 10, msgs: 1 });
-        assert_eq!(m.recv_row_total(1), CellCounts { bytes: 10, msgs: 1 });
+        assert_eq!(m.send_row_total(0), c(30, 3));
+        assert_eq!(m.send_col_total(1), c(10, 1));
+        assert_eq!(m.recv_row_total(1), c(10, 1));
         assert_eq!(m.recv_row_total(2), CellCounts::default());
+        assert_eq!(m.sent(0, 2), c(20, 2));
+        assert_eq!(m.sent(2, 0), CellCounts::default());
+        assert_eq!(m.received(1, 0), c(10, 1));
         let map = m.render_heatmap();
         assert!(map.contains("row = src"));
+        // An empty matrix renders all-blank rows.
+        assert!(CommMatrix::new(2).render_heatmap().contains("max cell 0 B"));
     }
 
     #[test]

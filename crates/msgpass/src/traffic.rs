@@ -51,38 +51,51 @@ impl PhaseCounts {
 
 /// The mutable accumulator state for one rank. Only the owning rank thread
 /// writes it during a run; the world reads it once after the threads join.
+///
+/// Every map holds only what the rank touched: its matrix rows are keyed by
+/// peer, so a rank's footprint is the peers it talked to, not the world
+/// size.
 #[derive(Default)]
 pub(crate) struct RankStats {
     pub(crate) by_phase: BTreeMap<String, PhaseCounts>,
     /// `sent_to[dst]`: this rank's send-side matrix row.
-    pub(crate) sent_to: Vec<CellCounts>,
+    pub(crate) sent_to: BTreeMap<usize, CellCounts>,
     /// `recv_from[src]`: this rank's recv-side matrix row.
-    pub(crate) recv_from: Vec<CellCounts>,
+    pub(crate) recv_from: BTreeMap<usize, CellCounts>,
     /// Send-side size histograms keyed by the sender's phase.
     pub(crate) hist_by_phase: BTreeMap<String, SizeHistogram>,
     /// Send-side size histograms keyed by the collective algorithm actually
     /// running ("ring_allgatherv", …); bare point-to-point sends land under
     /// `"p2p"`.
-    pub(crate) hist_by_algo: BTreeMap<String, SizeHistogram>,
+    pub(crate) hist_by_algo: BTreeMap<&'static str, SizeHistogram>,
     /// Seconds blocked inside `recv` per receiver phase.
     pub(crate) wait_by_phase: BTreeMap<String, f64>,
+}
+
+/// `map[key]`, inserted as the default first if absent. The owned key is
+/// allocated only on that first insert, so recording a message under a
+/// phase that already has an entry allocates nothing.
+fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), V::default());
+    }
+    map.get_mut(key).expect("entry was just ensured")
 }
 
 /// Accumulator owned by the fabric, one per rank. Writes come from the
 /// owning thread only, but the final report is read after the threads join,
 /// so a mutex (uncontended in practice) keeps this simple and safe.
 pub(crate) struct RankTraffic {
+    /// Ranks in the world; peers are checked against it.
+    world_size: usize,
     pub(crate) stats: Mutex<RankStats>,
 }
 
 impl RankTraffic {
     pub(crate) fn new(world_size: usize) -> RankTraffic {
         RankTraffic {
-            stats: Mutex::new(RankStats {
-                sent_to: vec![CellCounts::default(); world_size],
-                recv_from: vec![CellCounts::default(); world_size],
-                ..RankStats::default()
-            }),
+            world_size,
+            stats: Mutex::new(RankStats::default()),
         }
     }
 
@@ -96,18 +109,18 @@ impl RankTraffic {
         dst_world: usize,
         bytes: u64,
     ) {
+        debug_assert!(dst_world < self.world_size, "peer {dst_world} out of range");
         let mut st = lock_mutex(&self.stats);
-        let e = st.by_phase.entry(phase.to_owned()).or_default();
+        let e = slot(&mut st.by_phase, phase);
         e.bytes += bytes;
         e.msgs += 1;
-        st.sent_to[dst_world].bytes += bytes;
-        st.sent_to[dst_world].msgs += 1;
-        st.hist_by_phase
-            .entry(phase.to_owned())
+        st.sent_to
+            .entry(dst_world)
             .or_default()
-            .record(bytes);
+            .add(CellCounts { bytes, msgs: 1 });
+        slot(&mut st.hist_by_phase, phase).record(bytes);
         st.hist_by_algo
-            .entry(algo.unwrap_or("p2p").to_owned())
+            .entry(algo.unwrap_or("p2p"))
             .or_default()
             .record(bytes);
     }
@@ -115,14 +128,17 @@ impl RankTraffic {
     /// Records one matched receive: phase totals, the matrix row, and the
     /// seconds this `recv` call spent blocked waiting for the fabric.
     pub(crate) fn record_recv(&self, phase: &str, src_world: usize, bytes: u64, wait_secs: f64) {
+        debug_assert!(src_world < self.world_size, "peer {src_world} out of range");
         let mut st = lock_mutex(&self.stats);
-        let e = st.by_phase.entry(phase.to_owned()).or_default();
+        let e = slot(&mut st.by_phase, phase);
         e.recv_bytes += bytes;
         e.recv_msgs += 1;
-        st.recv_from[src_world].bytes += bytes;
-        st.recv_from[src_world].msgs += 1;
+        st.recv_from
+            .entry(src_world)
+            .or_default()
+            .add(CellCounts { bytes, msgs: 1 });
         if wait_secs > 0.0 {
-            *st.wait_by_phase.entry(phase.to_owned()).or_insert(0.0) += wait_secs;
+            *slot(&mut st.wait_by_phase, phase) += wait_secs;
         }
     }
 }
@@ -333,13 +349,15 @@ mod tests {
         );
         assert_eq!(st.by_phase["b"].bytes, 1);
         assert_eq!(
-            st.sent_to[1],
+            st.sent_to[&1],
             CellCounts {
                 bytes: 150,
                 msgs: 2
             }
         );
-        assert_eq!(st.recv_from[1], CellCounts { bytes: 30, msgs: 1 });
+        assert_eq!(st.sent_to.len(), 2, "only the touched peers have cells");
+        assert_eq!(st.recv_from[&1], CellCounts { bytes: 30, msgs: 1 });
+        assert_eq!(st.recv_from.len(), 1);
         assert_eq!(st.hist_by_phase["a"].msgs, 2);
         assert_eq!(st.hist_by_algo["p2p"].msgs, 2);
         assert_eq!(st.hist_by_algo["ring_allgatherv"].msgs, 1);
@@ -363,6 +381,39 @@ mod tests {
         assert_eq!(report.phase(0, "missing"), PhaseCounts::default());
         assert_eq!(report.phase_total("a").bytes, 150);
         assert_eq!(report.phase_total("a").recv_bytes, 30);
+    }
+
+    #[test]
+    fn huge_world_allocates_no_per_peer_storage() {
+        // A dense row would be 16 MiB per rank per side at this size.
+        let rt = RankTraffic::new(1 << 20);
+        {
+            let st = crate::lock_mutex(&rt.stats);
+            assert!(st.sent_to.is_empty() && st.recv_from.is_empty());
+        }
+        rt.record_send("x", None, (1 << 20) - 1, 8);
+        rt.record_recv("x", 7, 8, 0.0);
+        let st = crate::lock_mutex(&rt.stats);
+        assert_eq!(
+            st.sent_to.keys().copied().collect::<Vec<_>>(),
+            [(1 << 20) - 1]
+        );
+        assert_eq!(st.recv_from.keys().copied().collect::<Vec<_>>(), [7]);
+    }
+
+    #[test]
+    fn repeat_keys_reuse_their_entries() {
+        let rt = RankTraffic::new(4);
+        for _ in 0..3 {
+            rt.record_send("replicate_ab", Some("ring_allgatherv"), 1, 8);
+            rt.record_recv("replicate_ab", 2, 8, 0.5);
+        }
+        let st = crate::lock_mutex(&rt.stats);
+        assert_eq!(st.by_phase.len(), 1);
+        assert_eq!(st.by_phase["replicate_ab"].msgs, 3);
+        assert_eq!(st.hist_by_phase["replicate_ab"].msgs, 3);
+        assert_eq!(st.hist_by_algo["ring_allgatherv"].msgs, 3);
+        assert_eq!(st.wait_by_phase["replicate_ab"], 1.5);
     }
 
     #[test]

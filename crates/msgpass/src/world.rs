@@ -19,6 +19,9 @@ pub(crate) struct Fabric {
     pub(crate) senders: Vec<Sender<Envelope>>,
     pub(crate) traffic: Vec<RankTraffic>,
     pub(crate) times: Vec<Mutex<BTreeMap<String, f64>>>,
+    /// `0..p`: the world communicator's member list, shared by every rank
+    /// (one copy per rank would be `p²` words).
+    pub(crate) world_ranks: Arc<Vec<usize>>,
 }
 
 impl Fabric {
@@ -37,6 +40,7 @@ impl Fabric {
             senders,
             traffic: (0..p).map(|_| RankTraffic::new(p)).collect(),
             times: (0..p).map(|_| Mutex::new(BTreeMap::new())).collect(),
+            world_ranks: Arc::new((0..p).collect()),
         });
         (fabric, receivers)
     }
@@ -642,27 +646,27 @@ pub(crate) fn assemble_report(
     let p = fabric.traffic.len();
     let mut per_rank = Vec::with_capacity(p);
     let mut wait_per_rank = Vec::with_capacity(p);
-    let mut matrix = CommMatrix::new(p);
+    let (mut send, mut recv) = (Vec::new(), Vec::new());
     let mut hist_by_phase: BTreeMap<String, SizeHistogram> = BTreeMap::new();
     let mut hist_by_algo: BTreeMap<String, SizeHistogram> = BTreeMap::new();
     for (rank, t) in fabric.traffic.iter().enumerate() {
         let st = lock_mutex(&t.stats);
         per_rank.push(st.by_phase.clone());
         wait_per_rank.push(st.wait_by_phase.clone());
-        matrix.set_send_row(rank, &st.sent_to);
-        matrix.set_recv_row(rank, &st.recv_from);
+        send.extend(st.sent_to.iter().map(|(&dst, &c)| (rank, dst, c)));
+        recv.extend(st.recv_from.iter().map(|(&src, &c)| (rank, src, c)));
         for (k, h) in &st.hist_by_phase {
             hist_by_phase.entry(k.clone()).or_default().merge(h);
         }
-        for (k, h) in &st.hist_by_algo {
-            hist_by_algo.entry(k.clone()).or_default().merge(h);
+        for (&k, h) in &st.hist_by_algo {
+            hist_by_algo.entry(k.to_owned()).or_default().merge(h);
         }
     }
     let traffic = TrafficReport {
         per_rank,
         secs_per_rank: fabric.times.iter().map(|t| lock_mutex(t).clone()).collect(),
         wait_per_rank,
-        matrix,
+        matrix: CommMatrix::from_sparse(p, &send, &recv),
         hist_by_phase,
         hist_by_algo,
     };

@@ -11,9 +11,14 @@
 //!   serial GEMM;
 //! * wait attribution is in *virtual* seconds: an imbalanced 4-rank run
 //!   (one rank computes while three wait) shows the imbalance as nonzero
-//!   wait% in its dashboard.
+//!   wait% in its dashboard;
+//! * phantom payloads change nothing observable: a compute-skipping
+//!   `simulate_native` (zero-sized elements, no matrix memory) writes the
+//!   same artifact, byte for byte, as the same run over real zero-filled
+//!   `f64` blocks (property test over problems, overlap, collectives and
+//!   node sizes).
 
-use ca3dmm::{Ca3dmm, Ca3dmmOptions};
+use ca3dmm::{Ca3dmm, Ca3dmmOptions, Collectives};
 use dense::gemm::{gemm_naive, GemmOp};
 use dense::part::Rect;
 use dense::random::global_block;
@@ -22,8 +27,9 @@ use dense::Mat;
 use gridopt::Problem;
 use jsonlite::Json;
 use layout::Layout;
+use msgpass::RunReport;
 use msgpass::{Comm, RunReportDoc, SimOptions, World};
-use netmodel::Machine;
+use netmodel::{Machine, Placement};
 use proptest::prelude::*;
 
 /// Ping-pong between two ranks: the makespan must be exactly two one-way
@@ -271,8 +277,59 @@ fn imbalanced_sim_shows_virtual_wait() {
     );
 }
 
+/// Steps 5–7 of `alg` under virtual time over real zero-filled `f64`
+/// blocks with the local GEMMs skipped: what `Ca3dmm::simulate_native` ran
+/// before compute-skipping runs switched to phantom payloads.
+fn simulate_f64_zero_blocks(alg: &Ca3dmm, machine: &Machine, opts: SimOptions) -> RunReport {
+    let gc = alg.grid_context();
+    let (_, report) = World::run_sim(gc.problem().p, machine, opts, |ctx| {
+        let world = Comm::world(ctx);
+        let (a, b) = if gc.is_active(world.rank()) {
+            let coord = gc.coord_of(world.rank());
+            let (ra, rb) = (gc.a_init(&coord), gc.b_init(&coord));
+            (
+                Some(Mat::<f64>::zeros(ra.rows, ra.cols)),
+                Some(Mat::<f64>::zeros(rb.rows, rb.cols)),
+            )
+        } else {
+            (None, None)
+        };
+        alg.multiply_native(ctx, &world, a, b);
+    });
+    report
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Phantom payloads are invisible in the artifact: same traffic, same
+    /// matrix, same histograms, same virtual times as real `f64` blocks.
+    #[test]
+    fn phantom_sim_matches_f64_zero_blocks(
+        m in 1usize..40,
+        n in 1usize..40,
+        k in 1usize..48,
+        p in 1usize..25,
+        overlap in proptest::bool::ANY,
+        hier in proptest::bool::ANY,
+        ranks_per_node in 1usize..9,
+    ) {
+        let machine = Machine::phoenix_cpu();
+        let collectives = if hier { Collectives::Hier } else { Collectives::Flat };
+        let alg = Ca3dmm::new(
+            Problem::new(m, n, k, p),
+            &Ca3dmmOptions { overlap, collectives, ..Ca3dmmOptions::default() },
+        );
+        let opts = || SimOptions {
+            placement: Some(Placement { ranks_per_node, ..machine.pure_mpi() }),
+            execute_compute: false,
+            ..SimOptions::default()
+        };
+        let json = |r: RunReport| r.to_json(alg.report_meta("phantom")).to_string_pretty();
+        let phantom = json(alg.simulate_native(&machine, opts()));
+        let real = json(simulate_f64_zero_blocks(&alg, &machine, opts()));
+        prop_assert_eq!(phantom, real);
+    }
 
     /// Determinism: simulating the same problem twice yields byte-identical
     /// artifacts, for arbitrary problem shapes (and therefore arbitrary
